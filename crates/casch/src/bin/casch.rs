@@ -230,6 +230,20 @@ fn get_u64_or(opts: &Flags, key: &str, default: u64) -> Result<u64, String> {
     }
 }
 
+/// Read `--procs`, or `default` when it is absent. Every command that
+/// takes a processor count reads it here, so 0 and counts that do not
+/// fit a `u32` are refused up front instead of panicking or wrapping.
+fn get_procs(opts: &Flags, default: u64) -> Result<u32, String> {
+    let p = get_u64_or(opts, "procs", default.max(1))?;
+    match u32::try_from(p) {
+        Ok(p) if p > 0 => Ok(p),
+        _ => Err(format!(
+            "--procs must be between 1 and {}, got {p}",
+            u32::MAX
+        )),
+    }
+}
+
 fn get_f64_or(opts: &Flags, key: &str, default: f64) -> Result<f64, String> {
     match opts.get(key) {
         None => Ok(default),
@@ -386,8 +400,8 @@ fn resolve_model_procs(
     }
     match hier.or(caps) {
         Some(n) => {
-            let p = get_u64_or(opts, "procs", u64::from(n))?;
-            if p != u64::from(n) {
+            let p = get_procs(opts, u64::from(n))?;
+            if p != n {
                 let what = if hier.is_some() {
                     "hier group table"
                 } else {
@@ -399,7 +413,7 @@ fn resolve_model_procs(
             }
             Ok(n)
         }
-        None => Ok(get_u64_or(opts, "procs", default_procs)? as u32),
+        None => get_procs(opts, default_procs),
     }
 }
 
@@ -479,7 +493,7 @@ fn cmd_schedule(opts: &Flags) -> Result<(), String> {
         return cmd_schedule_model(opts, &dag);
     }
     let algo = scheduler_by_name(opts.get("algo").ok_or("missing --algo")?)?;
-    let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
+    let procs = get_procs(opts, dag.node_count() as u64)?;
     let report = run_on_dag(&dag, algo.as_ref(), procs, &SimConfig::default());
     println!("algorithm:        {}", report.algorithm);
     println!("schedule length:  {}", report.metrics.makespan);
@@ -649,7 +663,7 @@ fn cmd_batch(opts: &Flags) -> Result<(), String> {
         let display = path.display().to_string();
         match load_dag_file(path) {
             Ok(dag) => {
-                procs.push(get_u64_or(opts, "procs", dag.node_count() as u64)? as u32);
+                procs.push(get_procs(opts, dag.node_count() as u64)?);
                 dags.push(dag);
                 displays.push(display);
             }
@@ -792,7 +806,7 @@ fn cmd_loadgen(opts: &Flags) -> Result<(), String> {
         algo: opts.get("algo").cloned().unwrap_or_else(|| "fast".into()),
         procs: match opts.get("procs") {
             None => None,
-            Some(_) => Some(get_u64_or(opts, "procs", 0)? as u32),
+            Some(_) => Some(get_procs(opts, 1)?),
         },
         rate: get_f64_or(opts, "rate", 0.0)?,
         total: match opts.get("total") {
@@ -857,7 +871,7 @@ fn cmd_explain(opts: &Flags) -> Result<(), String> {
     } else {
         let dag = load_dag(opts)?;
         let algo = scheduler_by_name(opts.get("algo").ok_or("missing --in or --dag/--algo")?)?;
-        let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
+        let procs = get_procs(opts, dag.node_count() as u64)?;
         let mut trace = fastsched_trace::SearchTrace::default();
         if !trace.is_enabled() {
             eprintln!(
@@ -1197,7 +1211,7 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
     let (app, default_procs) = if opts.contains_key("dag") {
         let dag = load_dag(opts)?;
         // Wrap a pre-built DAG by scheduling it directly.
-        let procs = get_u64_or(opts, "procs", dag.node_count() as u64)? as u32;
+        let procs = get_procs(opts, dag.node_count() as u64)?;
         let sim = SimConfig::default();
         println!(
             "workload from --dag (v = {}, e = {})",
@@ -1228,7 +1242,7 @@ fn cmd_compare(opts: &Flags) -> Result<(), String> {
         let v = app.generate(&db).node_count();
         (app, v as u64)
     };
-    let procs = get_u64_or(opts, "procs", default_procs)? as u32;
+    let procs = get_procs(opts, default_procs)?;
     let table = compare_algorithms(app, &db, &schedulers, procs, &SimConfig::default());
     print!("{}", table.render());
     Ok(())

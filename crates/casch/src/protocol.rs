@@ -61,7 +61,8 @@
 //!
 //! Error responses use a small set of stable first words: `parse:`
 //! (malformed JSON or a bad field, including a `procs`/`speeds`
-//! count beyond the server's processor limit), `overloaded`
+//! count beyond the server's processor limit and arrays or objects
+//! nested deeper than 128), `overloaded`
 //! (admission control rejected the request), `timeout` (the request
 //! waited past its deadline), `line exceeds` (oversized-line
 //! rejection, see [`LineReader`]), and `internal:` (the request's
@@ -1070,6 +1071,17 @@ mod tests {
             let err = Request::parse(bad, 1).expect_err(bad);
             assert!(err.starts_with("parse:"), "{bad} -> {err}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error() {
+        let line = "[".repeat(200_000);
+        let err = Request::parse(&line, 1).unwrap_err();
+        assert_eq!(err, "parse: nesting deeper than 128 at byte 128");
+        let line = format!("{{\"op\":\"stats\",\"x\":{}", "[".repeat(200_000));
+        assert!(Response::parse(&line)
+            .unwrap_err()
+            .starts_with("parse: nesting"));
     }
 
     #[test]

@@ -34,7 +34,8 @@
 //!   then joins the workers. Accepted work is never abandoned.
 //! * **Metrics** — accepted/rejected/timeout/malformed/completed
 //!   totals plus per-worker request counts and per-phase
-//!   (queue / schedule / serialize / write) latency histograms
+//!   (queue / schedule / serialize / write, then parse — the
+//!   connection thread's `Request::parse` + `prepare`) latency histograms
 //!   ([`fastsched_metrics`]; lock-free, every observation counted —
 //!   no sample-window bias under saturation). Served inline by
 //!   `op:"stats"`, and — when [`ServeConfig::metrics_addr`] is set —
@@ -316,6 +317,9 @@ const PHASE_NAMES: [&str; 4] = ["queue", "schedule", "serialize", "write"];
 /// One worker's metrics shard: written only by the owning pool
 /// worker, so recording never contends; merged across workers at
 /// scrape time ([`ServeStats::merged_phase`]).
+///
+/// A fifth phase, `parse`, is timed on the connection threads instead
+/// ([`ServeStats::parse_us`]) and reported after these four.
 struct WorkerCounters {
     requests: Counter,
     /// Indexed like [`PHASE_NAMES`].
@@ -404,6 +408,11 @@ struct ServeStats {
     in_flight: Gauge,
     /// Per-worker shards, indexed by pool worker.
     workers: Vec<WorkerCounters>,
+    /// The `parse` phase: `Request::parse` plus `prepare` of every
+    /// schedule line and every line that failed to parse, recorded by
+    /// the connection threads (not the workers, so it is one shared
+    /// histogram rather than a shard per worker).
+    parse_us: Histogram,
     /// Per-algorithm completion counters, indexed like [`ALGO_NAMES`].
     /// Incremented alongside `completed`, so their sum equals it.
     algos: Vec<Counter>,
@@ -431,6 +440,7 @@ impl ServeStats {
                     phase_us: std::array::from_fn(|_| Histogram::new()),
                 })
                 .collect(),
+            parse_us: Histogram::new(),
             algos: ALGO_NAMES.iter().map(|_| Counter::new()).collect(),
             start: Instant::now(),
             host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -454,6 +464,26 @@ impl ServeStats {
         out
     }
 
+    /// Every phase's distribution in reporting order: the four worker
+    /// phases, then `parse` last, so readers of the first four see
+    /// them where and as they always were.
+    fn phases(&self) -> impl Iterator<Item = (&'static str, HistogramSnapshot)> + '_ {
+        PHASE_NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (*name, self.merged_phase(i)))
+            .chain(std::iter::once(("parse", self.parse_us.snapshot())))
+    }
+
+    /// Record a line's `parse` phase, begun at `start` (`None` when
+    /// metrics are off).
+    fn record_parse(&self, start: Option<Instant>) {
+        if let Some(t) = start {
+            self.parse_us
+                .record(t.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        }
+    }
+
     fn uptime_s(&self) -> u64 {
         self.start.elapsed().as_secs()
     }
@@ -471,19 +501,14 @@ impl ServeStats {
         let accepted = self.accepted.get();
         let in_flight = self.in_flight.get();
         let phases = if self.timing {
-            PHASE_NAMES
-                .iter()
-                .enumerate()
-                .map(|(i, name)| {
-                    let h = self.merged_phase(i);
-                    PhaseSnapshot {
-                        phase: (*name).to_string(),
-                        count: h.count(),
-                        p50_us: h.quantile(0.50),
-                        p99_us: h.quantile(0.99),
-                        p999_us: h.quantile(0.999),
-                        mean_us: h.mean(),
-                    }
+            self.phases()
+                .map(|(name, h)| PhaseSnapshot {
+                    phase: name.to_string(),
+                    count: h.count(),
+                    p50_us: h.quantile(0.50),
+                    p99_us: h.quantile(0.99),
+                    p999_us: h.quantile(0.999),
+                    mean_us: h.mean(),
                 })
                 .collect()
         } else {
@@ -813,8 +838,10 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             continue;
         }
         line_no += 1;
+        let parse_start = ctx.stats.timing.then(Instant::now);
         match Request::parse(&text, line_no) {
             Err(error) => {
+                ctx.stats.record_parse(parse_start);
                 ctx.stats.malformed.inc();
                 writer.write_line(&Response::Error { id: line_no, error }.to_line());
             }
@@ -841,7 +868,9 @@ fn handle_connection(stream: TcpStream, ctx: ConnCtx) -> io::Result<()> {
             }
             Ok(Request::Schedule(req)) => {
                 let id = req.id;
-                match prepare(req, &ctx.config) {
+                let prepared = prepare(req, &ctx.config);
+                ctx.stats.record_parse(parse_start);
+                match prepared {
                     Err(error) => {
                         ctx.stats.malformed.inc();
                         writer.write_line(&Response::Error { id, error }.to_line());
@@ -1417,8 +1446,8 @@ fn render_exposition(stats: &ServeStats, pool: &WorkerPool, queue_depth: usize) 
             "casch_phase_latency_us",
             "Per-phase request latency in microseconds, merged across workers.",
         );
-        for (i, name) in PHASE_NAMES.iter().enumerate() {
-            fam.series(&[("phase", name)], &stats.merged_phase(i));
+        for (name, h) in stats.phases() {
+            fam.series(&[("phase", name)], &h);
         }
     }
     let pm = pool.metrics();

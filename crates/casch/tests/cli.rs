@@ -1122,3 +1122,63 @@ fn batch_reports_rejected_inputs_without_aborting() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("rejected"));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn out_of_range_procs_exit_1_with_a_message() {
+    let dir = std::env::temp_dir().join(format!("casch-procs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dag = dir.join("fft.json");
+    let out = casch()
+        .args(["generate", "--app", "fft", "--size", "4", "--out"])
+        .arg(&dag)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let (dag, dir) = (dag.to_str().unwrap(), dir.to_str().unwrap());
+    // 0, 2^32 (which `as u32` wrapped to 0) and 2^32 + 1 (wrapped to 1).
+    for procs in ["0", "4294967296", "4294967297"] {
+        let runs = [
+            vec!["schedule", "--dag", dag],
+            vec!["schedule", "--comm", "alpha-beta:1,1,1", "--dag", dag],
+            vec!["batch", "--dir", dir],
+        ];
+        for args in runs {
+            let out = casch()
+                .args(&args)
+                .args(["--algo", "fast", "--procs", procs])
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{args:?} --procs {procs}: {stderr}"
+            );
+            assert!(
+                stderr.contains(&format!(
+                    "--procs must be between 1 and 4294967295, got {procs}"
+                )),
+                "{args:?} --procs {procs}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn deeply_nested_dag_file_is_an_error_not_an_abort() {
+    let dir = std::env::temp_dir().join(format!("casch-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dag = dir.join("deep.json");
+    std::fs::write(&dag, "[".repeat(200_000)).unwrap();
+    let out = casch()
+        .args(["schedule", "--algo", "fast", "--dag"])
+        .arg(&dag)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("nesting deeper than 128"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

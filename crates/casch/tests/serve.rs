@@ -463,6 +463,32 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_line_is_a_parse_error_and_the_connection_survives() {
+    let (addr, join, shutdown) = start_server(ServeConfig::default());
+    let mut stream = connect(addr);
+    let good = ScheduleRequest::new(2, DagSpec::from_dag(&paper_figure1()));
+    let batch = format!("{}\n{}\n", "[".repeat(200_000), good.to_line());
+    stream.write_all(batch.as_bytes()).expect("send");
+
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    match &read_responses(&mut reader, 1)[0] {
+        Response::Error { id, error } => {
+            assert_eq!(*id, 1);
+            assert_eq!(error, "parse: nesting deeper than 128 at byte 128");
+        }
+        other => panic!("unexpected response: {other:?}"),
+    }
+    match &read_responses(&mut reader, 1)[0] {
+        Response::Schedule(r) => assert_eq!((r.id, r.makespan), (2, 18)),
+        other => panic!("unexpected response: {other:?}"),
+    }
+
+    shutdown.store(true, Ordering::SeqCst);
+    let summary = join.join().expect("server thread");
+    assert_eq!((summary.malformed, summary.completed), (1, 1));
+}
+
+#[test]
 fn oversized_lines_are_rejected_without_buffering_them() {
     let (addr, join, shutdown) = start_server(ServeConfig {
         max_line_bytes: 256,
@@ -878,7 +904,9 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
 
     // Phase histograms: the schedule phase saw every request, and
     // cumulative bucket counts are monotone within each series.
-    for phase in ["queue", "schedule", "serialize", "write"] {
+    // `parse` counts the schedule lines only: the `op:"stats"` polls
+    // are not timed.
+    for phase in ["queue", "schedule", "serialize", "write", "parse"] {
         let count_line = format!("casch_phase_latency_us_count{{phase=\"{phase}\"}} {total}\n");
         assert!(page.contains(&count_line), "missing/short series: {phase}");
         let prefix = format!("casch_phase_latency_us_bucket{{phase=\"{phase}\"");
@@ -903,6 +931,9 @@ fn metrics_endpoint_serves_exposition_consistent_with_stats() {
             assert!(!s.phases.is_empty(), "phase breakdown missing");
             let queue = s.phases.iter().find(|p| p.phase == "queue").expect("queue");
             assert_eq!(queue.count, total);
+            let names: Vec<&str> = s.phases.iter().map(|p| p.phase.as_str()).collect();
+            assert_eq!(names, ["queue", "schedule", "serialize", "write", "parse"]);
+            assert_eq!(s.phases[4].count, total);
         }
         other => panic!("unexpected response: {other:?}"),
     }

@@ -213,6 +213,47 @@ mod tests {
         assert!(matches!(from_json("{oops"), Err(DagError::Serde(_))));
     }
 
+    /// A `v`-node DAG with an edge from every node to each of its next
+    /// four: about `4v` edge objects.
+    fn ladder_json(v: u32) -> String {
+        let mut b = DagBuilder::new();
+        let ids: Vec<NodeId> = (0..v).map(|i| b.add_node(format!("t{i}"), 10)).collect();
+        for i in 0..v as usize {
+            for j in i + 1..(i + 5).min(v as usize) {
+                b.add_edge(ids[i], ids[j], 3).unwrap();
+            }
+        }
+        to_json(&b.build().unwrap()).unwrap()
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_edge_count() {
+        let texts = [ladder_json(1000), ladder_json(2000)];
+        assert!(from_json(&texts[0]).unwrap().edge_count() > 3_900);
+        // Fastest of 15 parses each, interleaved so both sizes see the
+        // same host load.
+        let mut best = [f64::INFINITY; 2];
+        for _ in 0..15 {
+            for (b, text) in best.iter_mut().zip(&texts) {
+                let t = std::time::Instant::now();
+                let spec: DagSpec = serde_json::from_str(text).unwrap();
+                drop(std::hint::black_box(spec));
+                *b = b.min(t.elapsed().as_secs_f64());
+            }
+        }
+        let ratio = best[1] / best[0];
+        assert!(ratio < 3.0, "2x the edges took {ratio:.2}x the time");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_serde_error() {
+        let err = from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(
+            matches!(&err, DagError::Serde(m) if m.contains("nesting")),
+            "{err:?}"
+        );
+    }
+
     #[test]
     fn dot_output_contains_nodes_and_edges() {
         let dot = to_dot(&sample());
